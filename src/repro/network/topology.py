@@ -64,6 +64,11 @@ class Topology:
         self._links: List[Link] = []
         # (node, port) -> Link
         self._port_map: Dict[Tuple[str, int], Link] = {}
+        # Lookup tables derived from the graph, rebuilt after any change:
+        # node -> neighbors in port order, (node, neighbor) -> first port.
+        self._tables: Optional[
+            Tuple[Dict[str, Tuple[str, ...]], Dict[Tuple[str, str], int]]
+        ] = None
 
     def add_switch(self, name: str, ports: int) -> None:
         """Add an N-port switch."""
@@ -72,12 +77,14 @@ class Topology:
         if ports <= 0:
             raise ValueError(f"ports must be positive, got {ports}")
         self._nodes[name] = Node(name, "switch", ports)
+        self._tables = None
 
     def add_host(self, name: str) -> None:
         """Add a single-port host controller."""
         if name in self._nodes:
             raise ValueError(f"duplicate node name: {name}")
         self._nodes[name] = Node(name, "host", 1)
+        self._tables = None
 
     def node(self, name: str) -> Node:
         """Look up a node (raises ``KeyError`` if absent)."""
@@ -135,6 +142,7 @@ class Topology:
         self._links.append(link)
         self._port_map[(a, a_port)] = link
         self._port_map[(b, b_port)] = link
+        self._tables = None
         return link
 
     def link_at(self, name: str, port: int) -> Optional[Link]:
@@ -146,26 +154,38 @@ class Topology:
         link = self.link_at(name, port)
         return link.endpoint(name) if link else None
 
+    def _lookups(
+        self,
+    ) -> Tuple[Dict[str, Tuple[str, ...]], Dict[Tuple[str, str], int]]:
+        if self._tables is None:
+            toward: Dict[Tuple[str, str], int] = {}
+            for (name, port), link in self._port_map.items():
+                toward.setdefault((name, link.endpoint(name)[0]), port)
+            adjacency = {
+                name: tuple(
+                    self._port_map[(name, port)].endpoint(name)[0]
+                    for port in range(node.ports)
+                    if (name, port) in self._port_map
+                )
+                for name, node in self._nodes.items()
+            }
+            self._tables = (adjacency, toward)
+        return self._tables
+
     def port_toward(self, name: str, neighbor: str) -> int:
         """The port on ``name`` whose link leads to ``neighbor``.
 
         Raises ``ValueError`` if they are not adjacent (first match
-        wins when there are parallel links).
+        wins when there are parallel links: the earliest connected).
         """
-        for (node, port), link in self._port_map.items():
-            if node == name and link.endpoint(name)[0] == neighbor:
-                return port
-        raise ValueError(f"{name} has no link to {neighbor}")
+        port = self._lookups()[1].get((name, neighbor))
+        if port is None:
+            raise ValueError(f"{name} has no link to {neighbor}")
+        return port
 
     def neighbors(self, name: str) -> List[str]:
-        """Adjacent node names."""
-        result = []
-        node = self._nodes[name]
-        for port in range(node.ports):
-            peer = self.peer(name, port)
-            if peer is not None:
-                result.append(peer[0])
-        return result
+        """Adjacent node names, in port order."""
+        return list(self._lookups()[0][name])
 
     def shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
         """BFS shortest path (by hop count) from ``src`` to ``dst``."""
@@ -174,12 +194,13 @@ class Topology:
             raise KeyError(f"unknown node: {missing}")
         if src == dst:
             return [src]
+        adjacency = self._lookups()[0]
         parents: Dict[str, str] = {}
         queue = deque([src])
         seen = {src}
         while queue:
             current = queue.popleft()
-            for neighbor in self.neighbors(current):
+            for neighbor in adjacency[current]:
                 if neighbor in seen:
                     continue
                 parents[neighbor] = current

@@ -9,15 +9,18 @@ per-cell deque traffic at every hop.  This module is its batched
 counterpart, in the same spirit as :mod:`repro.sim.fastpath` for the
 single switch:
 
-- the VOQ state of **B independent network replicas** is one
-  ``(B, N, N)`` count array *per switch* -- no Cell objects;
+- the VOQ state of **B independent network replicas** is one stacked
+  ``(S, B, P, P)`` count array for all S switches -- no Cell objects;
+  P is the largest port count, and a switch with fewer ports uses the
+  top-left ``(n, n)`` corner of its rows (the padding stays empty);
 - every switch advances all B replicas with a single
   :class:`repro.core.batch.BatchScheduler` kernel call per slot (any
   registry scheduler -- PIM by default);
-- links are latency-indexed ring buffers of in-flight per-flow cell
-  counts, so propagation costs one slice per switch per slot;
-- host injection (Bernoulli arrivals + round-robin flow service) and
-  credit-based link flow control are evaluated as whole-array masks.
+- one latency-indexed ring ``(R, S + 1, B, F)`` holds every in-flight
+  per-flow cell count, row S standing for "delivered to a host", so
+  link deliveries, host injection, credit checks and transfers are
+  each one array pass over the whole fabric per slot; only the
+  per-switch kernel calls stay a Python loop.
 
 Slot-exact parity with the object model
 ---------------------------------------
@@ -78,41 +81,42 @@ __all__ = [
     "run_fastpath_network",
 ]
 
-#: Slots of host-injection uniforms pre-drawn per RNG call (amortizes
-#: generator overhead without breaking draw-for-draw stream order).
+#: Most slots of host-injection uniforms pre-drawn per RNG call (amortizes
+#: generator overhead without breaking draw-for-draw stream order; a run
+#: shorter than this draws only its own length).
 _HOST_CHUNK_SLOTS = 1024
 
 
 @dataclass(frozen=True)
-class _HostPlan:
-    """Compiled injection state for one source host."""
+class _Fabric:
+    """Compiled whole-fabric routing, link and host-injection arrays.
 
-    name: str
-    fids: np.ndarray  # (m,) global flow indices, in add_flow order
-    greedy: np.ndarray  # (m,) bool: rate >= 1.0
-    stoch_local: np.ndarray  # (k,) local indices of stochastic flows
-    stoch_col: np.ndarray  # (m,) local index -> column in pending (-1 greedy)
-    rates: np.ndarray  # (k,) stochastic rates, in flow order
-    first_switch: int  # peer switch index, or -1 for a direct host link
-    peer_port: int  # input port on the peer (credit check target)
-    latency: int  # first-hop link latency
+    Switch rows are padded to the largest port count P and host rows to
+    the largest per-host flow count M.  Ring row S (one past the last
+    switch) stands for "delivered to a host".
+    """
 
-
-@dataclass(frozen=True)
-class _SwitchPlan:
-    """Compiled routing/link state for one switch."""
-
-    name: str
-    ports: int
-    in_port: np.ndarray  # (F,) arrival port per flow (-1: not routed here)
-    out_port: np.ndarray  # (F,) departure port per flow (-1: not routed here)
-    is_multi: np.ndarray  # (F,) flow's VOQ here is shared by >1 flow
-    voq_single: np.ndarray  # (N, N) sole flow index, -1 shared, -2 empty
-    multi_voqs: Tuple[Tuple[int, int], ...]  # shared (input, output) pairs
-    next_switch: np.ndarray  # (F,) downstream switch index (-1: host)
-    next_lat: np.ndarray  # (F,) latency of the flow's outgoing link
-    switch_ports: Tuple[Tuple[int, int, int], ...]  # (port, peer idx, peer port)
-    ring_slots: int  # max incoming link latency + 1
+    ports: Tuple[int, ...]  # (S,) port count per switch
+    in_port: np.ndarray  # (S, F) arrival port per flow (-1: not routed here)
+    out_port: np.ndarray  # (S, F) departure port per flow (-1: not routed here)
+    is_multi: np.ndarray  # (S, F) flow's VOQ here is shared by >1 flow
+    voq_single: np.ndarray  # (S, P, P) sole flow index, -1 shared, -2 empty
+    multi_voqs: Tuple[Tuple[Tuple[int, int], ...], ...]  # per switch shared VOQs
+    next_row: np.ndarray  # (S, F) ring row of the flow's next hop (S: a host)
+    next_lat: np.ndarray  # (S, F) latency of the flow's outgoing link
+    credit_ports: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    # ^ per switch: (output port, peer switch, peer input port) arrays
+    host_names: Tuple[str, ...]  # sources, in first-flow order
+    host_fids: np.ndarray  # (H, M) global flow index, in add_flow order
+    host_flows: np.ndarray  # (H,) flows per host (m)
+    greedy: np.ndarray  # (H, M) bool: rate >= 1.0 (False in padding)
+    rates: np.ndarray  # (H, M) stochastic rate (0 for greedy and padding)
+    stoch_col: np.ndarray  # (H, M) column in the host's per-slot uniforms
+    stoch_count: np.ndarray  # (H,) stochastic flows per host (k)
+    host_row: np.ndarray  # (H,) ring row of the first hop (S: direct host link)
+    host_port: np.ndarray  # (H,) input port on the first switch (credit target)
+    host_lat: np.ndarray  # (H,) first-hop link latency
+    ring_slots: int  # largest link latency + 1
 
 
 @dataclass
@@ -268,7 +272,7 @@ class NetworkFastpath:
         self._host_flows: Dict[str, List[FlowSpec]] = {}
         self._switch_names = [node.name for node in topology.switches()]
         self._switch_index = {name: k for k, name in enumerate(self._switch_names)}
-        self._plans: Optional[Tuple[List[_SwitchPlan], List[_HostPlan], int]] = None
+        self._fabric: Optional[_Fabric] = None
 
     def add_flow(self, flow: FlowSpec, path: Optional[List[str]] = None) -> None:
         """Register a flow: install its route and its host source."""
@@ -280,36 +284,35 @@ class NetworkFastpath:
             self._host_order.append(flow.src)
             self._host_flows[flow.src] = []
         self._host_flows[flow.src].append(flow)
-        self._plans = None
+        self._fabric = None
 
     # ------------------------------------------------------------------
-    # Compilation: topology + routes -> dense per-switch/per-host arrays
+    # Compilation: topology + routes -> dense whole-fabric arrays
     # ------------------------------------------------------------------
 
-    def _compile(self) -> Tuple[List[_SwitchPlan], List[_HostPlan], int]:
-        if self._plans is not None:
-            return self._plans
+    def _compile(self) -> _Fabric:
+        if self._fabric is not None:
+            return self._fabric
+        topo = self.topology
         flow_ids = list(self._flows)
         fcount = len(flow_ids)
         fidx = {fid: k for k, fid in enumerate(flow_ids)}
         n_sw = len(self._switch_names)
+        ports = tuple(topo.node(name).ports for name in self._switch_names)
+        width = max(ports, default=1)
 
-        in_port = [np.full(fcount, -1, dtype=np.int64) for _ in range(n_sw)]
-        out_port = [np.full(fcount, -1, dtype=np.int64) for _ in range(n_sw)]
-        next_switch = [np.full(fcount, -1, dtype=np.int64) for _ in range(n_sw)]
-        next_lat = [np.zeros(fcount, dtype=np.int64) for _ in range(n_sw)]
-        max_in_lat = [0] * n_sw
-        delivery_lat = 1
-
+        in_port = np.full((n_sw, fcount), -1, dtype=np.int64)
+        out_port = np.full((n_sw, fcount), -1, dtype=np.int64)
+        next_row = np.full((n_sw, fcount), n_sw, dtype=np.int64)
+        next_lat = np.zeros((n_sw, fcount), dtype=np.int64)
         for fid in flow_ids:
             f = fidx[fid]
-            route = self.router.route(fid)
-            path = route.path
+            path = self.router.route(fid).path
             # Walk the actual links hop by hop, starting from the host's
             # single port, so parallel links resolve to the right ports.
             node, port = path[0], 0
             for hop in range(1, len(path)):
-                link = self.topology.link_at(node, port)
+                link = topo.link_at(node, port)
                 if link is None:
                     raise ValueError(f"{node} port {port} is not connected")
                 peer, peer_port = link.endpoint(node)
@@ -318,99 +321,92 @@ class NetworkFastpath:
                         f"flow {fid}: link from {node} reaches {peer}, "
                         f"path expects {path[hop]}"
                     )
-                if hop == len(path) - 1:
-                    delivery_lat = max(delivery_lat, link.latency)
-                else:
-                    s2 = self._switch_index[peer]
-                    in_port[s2][f] = peer_port
-                    out_port[s2][f] = self.router.output_port(peer, fid)
-                    max_in_lat[s2] = max(max_in_lat[s2], link.latency)
+                last = hop == len(path) - 1
                 if node != path[0]:
                     s1 = self._switch_index[node]
-                    if hop == len(path) - 1:
-                        next_switch[s1][f] = -1
-                    else:
-                        next_switch[s1][f] = self._switch_index[peer]
-                    next_lat[s1][f] = link.latency
+                    next_row[s1, f] = n_sw if last else self._switch_index[peer]
+                    next_lat[s1, f] = link.latency
+                if not last:
+                    s2 = self._switch_index[peer]
+                    port = self.router.output_port(peer, fid)
+                    in_port[s2, f], out_port[s2, f] = peer_port, port
                 node = peer
-                if hop < len(path) - 1:
-                    port = self.router.output_port(node, fid)
 
-        switch_plans: List[_SwitchPlan] = []
+        voq_single = np.full((n_sw, width, width), -2, dtype=np.int64)
+        is_multi = np.zeros((n_sw, fcount), dtype=bool)
+        multi_voqs = []
+        credit_ports = []
         for s, name in enumerate(self._switch_names):
-            ports = self.topology.node(name).ports
-            voq_single = np.full((ports, ports), -2, dtype=np.int64)
             members: Dict[Tuple[int, int], List[int]] = {}
-            for f in range(fcount):
-                if in_port[s][f] < 0:
-                    continue
-                key = (int(in_port[s][f]), int(out_port[s][f]))
+            for f in np.nonzero(in_port[s] >= 0)[0].tolist():
+                key = (int(in_port[s, f]), int(out_port[s, f]))
                 members.setdefault(key, []).append(f)
-            is_multi = np.zeros(fcount, dtype=bool)
-            multi_voqs = []
+            shared = []
             for (i, j), flows_here in members.items():
                 if len(flows_here) == 1:
-                    voq_single[i, j] = flows_here[0]
+                    voq_single[s, i, j] = flows_here[0]
                 else:
-                    voq_single[i, j] = -1
-                    multi_voqs.append((i, j))
-                    for f in flows_here:
-                        is_multi[f] = True
-            sw_ports = []
-            for j in range(ports):
-                peer = self.topology.peer(name, j)
-                if peer is not None and self.topology.node(peer[0]).is_switch:
-                    sw_ports.append((j, self._switch_index[peer[0]], peer[1]))
-            switch_plans.append(
-                _SwitchPlan(
-                    name=name,
-                    ports=ports,
-                    in_port=in_port[s],
-                    out_port=out_port[s],
-                    is_multi=is_multi,
-                    voq_single=voq_single,
-                    multi_voqs=tuple(multi_voqs),
-                    next_switch=next_switch[s],
-                    next_lat=next_lat[s],
-                    switch_ports=tuple(sw_ports),
-                    ring_slots=max_in_lat[s] + 1,
-                )
-            )
+                    voq_single[s, i, j] = -1
+                    is_multi[s, flows_here] = True
+                    shared.append((i, j))
+            multi_voqs.append(tuple(shared))
+            peers = []
+            for j in range(ports[s]):
+                peer = topo.peer(name, j)
+                if peer is not None and topo.node(peer[0]).is_switch:
+                    peers.append((j, self._switch_index[peer[0]], peer[1]))
+            credit_ports.append(tuple(np.array(peers, dtype=np.int64).reshape(-1, 3).T))
 
-        host_plans: List[_HostPlan] = []
-        for host in self._host_order:
+        n_h = len(self._host_order)
+        width_h = max((len(self._host_flows[h]) for h in self._host_order), default=1)
+        host_fids = np.zeros((n_h, width_h), dtype=np.int64)
+        greedy = np.zeros((n_h, width_h), dtype=bool)
+        rates = np.zeros((n_h, width_h), dtype=np.float64)
+        stoch_col = np.zeros((n_h, width_h), dtype=np.int64)
+        host_flows, stoch_count, host_row, host_port, host_lat = (
+            np.zeros(n_h, dtype=np.int64) for _ in range(5)
+        )
+        for h, host in enumerate(self._host_order):
             flows = self._host_flows[host]
-            fids = np.array([fidx[f.flow_id] for f in flows], dtype=np.int64)
-            greedy = np.array([f.rate >= 1.0 for f in flows], dtype=bool)
-            stoch_local = np.nonzero(~greedy)[0].astype(np.int64)
-            stoch_col = np.full(len(flows), -1, dtype=np.int64)
-            stoch_col[stoch_local] = np.arange(stoch_local.size)
-            rates = np.array([flows[k].rate for k in stoch_local], dtype=np.float64)
-            link = self.topology.link_at(host, 0)
+            host_flows[h] = len(flows)
+            for c, flow in enumerate(flows):
+                host_fids[h, c] = fidx[flow.flow_id]
+                if flow.rate >= 1.0:
+                    greedy[h, c] = True
+                else:
+                    rates[h, c] = flow.rate
+                    stoch_col[h, c] = stoch_count[h]
+                    stoch_count[h] += 1
+            link = topo.link_at(host, 0)
             if link is None:
                 raise ValueError(f"source host {host} is not connected")
-            peer, peer_port = link.endpoint(host)
-            if self.topology.node(peer).is_switch:
-                first_switch = self._switch_index[peer]
-            else:
-                first_switch = -1
-                delivery_lat = max(delivery_lat, link.latency)
-            host_plans.append(
-                _HostPlan(
-                    name=host,
-                    fids=fids,
-                    greedy=greedy,
-                    stoch_local=stoch_local,
-                    stoch_col=stoch_col,
-                    rates=rates,
-                    first_switch=first_switch,
-                    peer_port=peer_port,
-                    latency=link.latency,
-                )
-            )
+            peer, host_port[h] = link.endpoint(host)
+            host_row[h] = self._switch_index.get(peer, n_sw)  # n_sw: a host
+            host_lat[h] = link.latency
 
-        self._plans = (switch_plans, host_plans, delivery_lat + 1)
-        return self._plans
+        self._fabric = _Fabric(
+            ports=ports,
+            in_port=in_port,
+            out_port=out_port,
+            is_multi=is_multi,
+            voq_single=voq_single,
+            multi_voqs=tuple(multi_voqs),
+            next_row=next_row,
+            next_lat=next_lat,
+            credit_ports=tuple(credit_ports),
+            host_names=tuple(self._host_order),
+            host_fids=host_fids,
+            host_flows=host_flows,
+            greedy=greedy,
+            rates=rates,
+            stoch_col=stoch_col,
+            stoch_count=stoch_count,
+            host_row=host_row,
+            host_port=host_port,
+            host_lat=host_lat,
+            ring_slots=max((link.latency for link in topo.links), default=1) + 1,
+        )
+        return self._fabric
 
     # ------------------------------------------------------------------
     # Simulation
@@ -469,22 +465,23 @@ class NetworkFastpath:
         if not 0 <= warmup <= slots:
             raise ValueError(f"warmup must be in [0, {slots}], got {warmup}")
         with timer.phase("compile"):
-            switch_plans, host_plans, dring_slots = self._compile()
+            fab = self._compile()
             flow_ids = list(self._flows)
             fcount = len(flow_ids)
-            n_sw = len(switch_plans)
+            n_sw = len(fab.ports)
             B = self.replicas
             limit = self.buffer_limit
+            R = fab.ring_slots
 
             streams = RandomStreams(self.seed)
             scheds = []
-            for sw in switch_plans:
-                sched_seed = int(streams.get(f"sched:{sw.name}").integers(2**31))
+            for name, ports in zip(self._switch_names, fab.ports):
+                sched_seed = int(streams.get(f"sched:{name}").integers(2**31))
                 scheds.append(
                     build_batch_scheduler(
                         self.scheduler,
                         replicas=B,
-                        ports=sw.ports,
+                        ports=ports,
                         iterations=self.iterations,
                         accept=self.accept,
                         rng=np.random.default_rng(sched_seed),
@@ -492,37 +489,40 @@ class NetworkFastpath:
                     )
                 )
 
-        occ = [np.zeros((B, sw.ports, sw.ports), dtype=np.int64) for sw in switch_plans]
-        queued = [np.zeros((B, fcount), dtype=np.int64) for _ in switch_plans]
-        rings = [
-            np.zeros((sw.ring_slots, B, fcount), dtype=np.int64)
-            for sw in switch_plans
-        ]
-        dring = np.zeros((dring_slots, B, fcount), dtype=np.int64)
+        width = fab.voq_single.shape[1]
+        occ = np.zeros((n_sw, B, width, width), dtype=np.int64)
+        queued = np.zeros((n_sw, B, fcount), dtype=np.int64)
+        ring = np.zeros((R, n_sw + 1, B, fcount), dtype=np.int64)
+        matches = np.empty((n_sw, B, width), dtype=np.int64)
         deques: List[Dict[Tuple[int, int], List[deque]]] = [
-            {key: [deque() for _ in range(B)] for key in sw.multi_voqs}
-            for sw in switch_plans
+            {key: [deque() for _ in range(B)] for key in shared}
+            for shared in fab.multi_voqs
         ]
 
         # Replica 0 consumes the object simulator's host:{h} stream;
-        # extra replicas get independent derived streams.
+        # extra replicas get independent derived streams.  Each host's
+        # pool holds k uniforms per slot for up to a chunk of slots.
         host_gens = [
             [
-                streams.get(f"host:{hp.name}" if b == 0 else f"host:{hp.name}/replica{b}")
+                streams.get(f"host:{name}" if b == 0 else f"host:{name}/replica{b}")
                 for b in range(B)
             ]
-            for hp in host_plans
+            for name in fab.host_names
         ]
-        pool_len = [hp.stoch_local.size * _HOST_CHUNK_SLOTS for hp in host_plans]
-        pools = [
-            np.zeros((B, L), dtype=np.float64) if L else None
-            for L in pool_len
-        ]
-        pool_cursor = [np.full(B, L, dtype=np.int64) for L in pool_len]
-        pending = [
-            np.zeros((B, hp.stoch_local.size), dtype=np.int64) for hp in host_plans
-        ]
-        cursor_rr = [np.zeros(B, dtype=np.int64) for _ in host_plans]
+        n_h, width_h = fab.host_fids.shape
+        pool_len = (fab.stoch_count * min(_HOST_CHUNK_SLOTS, slots))[:, None]
+        pool = np.zeros((n_h, B, max(int(pool_len.max(initial=0)), 1)))
+        pool_cursor = np.repeat(pool_len, B, axis=1)
+        refillable = pool_len > 0
+        pending = np.zeros((n_h, B, width_h), dtype=np.int64)
+        cursor_rr = np.zeros((n_h, B), dtype=np.int64)
+        credited = np.nonzero(fab.host_row < n_sw)[0]
+        credit_row, credit_port = fab.host_row[credited], fab.host_port[credited]
+        host_ix = np.arange(n_h)[:, None, None]
+        replica_ix = np.arange(B)[None, :, None]
+        flow_offsets = np.arange(width_h)[None, None, :]
+        stoch_col, rates = fab.stoch_col[:, None, :], fab.rates[:, None, :]
+        greedy, host_flows = fab.greedy[:, None, :], fab.host_flows[:, None, None]
 
         injected = np.zeros((B, fcount), dtype=np.int64)
         delivered_total = np.zeros((B, fcount), dtype=np.int64)
@@ -538,170 +538,115 @@ class NetworkFastpath:
             series_xfer = np.zeros((slots, n_sw), dtype=np.int64)
             series_backlog = np.zeros((slots, n_sw), dtype=np.int64)
 
-        all_replicas = np.arange(B)
-
         for t in range(slots):
             # -- 1. Link deliveries land: switch arrivals buffer, host
-            #       arrivals complete end to end.
+            #       arrivals (ring row S) complete end to end.
             with timer.phase("delivery"):
-                dslice = dring[t % dring_slots]
-                if dslice.any():
+                landing = ring[t % R]
+                ss, bb, ff = np.nonzero(landing)
+                if ss.size:
                     if record_series:
-                        series_del[t] = dslice[0]
-                    bb, ff = np.nonzero(dslice)
-                    delivered_total[bb, ff] += 1
-                    if t >= warmup:
-                        delivered_window[bb, ff] += 1
-                    cold = cold_outstanding[bb, ff] > 0
-                    cold_outstanding[bb[cold], ff[cold]] -= 1
-                    warm_b, warm_f = bb[~cold], ff[~cold]
-                    delay_cells[warm_b, warm_f] += 1
-                    in_system_warm[warm_b, warm_f] -= 1
-                    dslice[:] = 0
-                for s, sw in enumerate(switch_plans):
-                    aslice = rings[s][t % sw.ring_slots]
-                    if not aslice.any():
-                        continue
-                    bb, ff = np.nonzero(aslice)
-                    ii = sw.in_port[ff]
-                    jj = sw.out_port[ff]
+                        series_del[t] = landing[n_sw, 0]
+                    landing[:] = 0
+                    split = np.searchsorted(ss, n_sw)  # host rows sort last
+                    ss, hb, hf = ss[:split], bb[split:], ff[split:]
+                    bb, ff = bb[:split], ff[:split]
                     # One cell per link direction per slot means at most
-                    # one arrival per (replica, input): the triples are
-                    # unique and plain fancy increments are safe.
-                    occ[s][bb, ii, jj] += 1
-                    pre = queued[s][bb, ff]
-                    queued[s][bb, ff] = pre + 1
-                    shared = sw.is_multi[ff]
-                    if shared.any():
-                        dq = deques[s]
-                        for b, f, i, j, p in zip(
-                            bb[shared], ff[shared], ii[shared], jj[shared],
-                            pre[shared],
-                        ):
-                            if p == 0:  # empty -> non-empty: becomes eligible
-                                dq[(int(i), int(j))][b].append(int(f))
-                    aslice[:] = 0
+                    # one arrival per (switch, replica, input): the
+                    # indices are unique and plain fancy increments are
+                    # safe.
+                    ii, jj = fab.in_port[ss, ff], fab.out_port[ss, ff]
+                    occ[ss, bb, ii, jj] += 1
+                    pre = queued[ss, bb, ff]
+                    queued[ss, bb, ff] = pre + 1
+                    # A shared VOQ's flow becomes eligible on empty -> non-empty.
+                    for x in np.nonzero(fab.is_multi[ss, ff] & (pre == 0))[0].tolist():
+                        deques[ss[x]][ii[x], jj[x]][bb[x]].append(int(ff[x]))
+                    delivered_total[hb, hf] += 1
+                    if t >= warmup:
+                        delivered_window[hb, hf] += 1
+                    cold = cold_outstanding[hb, hf] > 0
+                    cold_outstanding[hb, hf] -= cold
+                    delay_cells[hb, hf] += ~cold
+                    in_system_warm[hb, hf] -= ~cold
 
-            # -- 2. Hosts inject one cell each (credit-checked first;
-            #       a blocked host consumes no draws, like the object).
-            arrivals_span = timer.phase("arrivals")
-            arrivals_span.__enter__()
-            for h, hp in enumerate(host_plans):
-                if limit is not None and hp.first_switch >= 0:
-                    free = occ[hp.first_switch][:, hp.peer_port, :].sum(axis=1) < limit
-                    u = np.nonzero(free)[0]
-                    if u.size == 0:
-                        continue
-                else:
-                    u = all_replicas
-                m = hp.fids.size
-                k = hp.stoch_local.size
-                if k:
-                    L = pool_len[h]
-                    refill = np.nonzero(pool_cursor[h] >= L)[0]
-                    for b in refill:
-                        pools[h][b] = host_gens[h][b].random(L)
-                    pool_cursor[h][refill] = 0
-                    take = pool_cursor[h][u, None] + np.arange(k)[None, :]
-                    draws = pools[h][u[:, None], take]
-                    pool_cursor[h][u] += k
-                    pending[h][u] += draws < hp.rates[None, :]
-                    elig = np.broadcast_to(hp.greedy, (u.size, m)).copy()
-                    elig[:, hp.stoch_local] = pending[h][u] > 0
-                else:
-                    if not hp.greedy.any():
-                        continue
-                    elig = np.broadcast_to(hp.greedy, (u.size, m))
-                offs = (np.arange(m)[None, :] - cursor_rr[h][u, None]) % m
-                score = np.where(elig, offs, m)
-                pick = score.argmin(axis=1)
-                emitted = score[np.arange(u.size), pick] < m
-                if not emitted.any():
-                    continue
-                eu = u[emitted]
-                pk = pick[emitted]
-                cursor_rr[h][eu] = (pk + 1) % m
-                stoch_pick = ~hp.greedy[pk]
-                if stoch_pick.any():
-                    pending[h][eu[stoch_pick], hp.stoch_col[pk[stoch_pick]]] -= 1
-                fsel = hp.fids[pk]
-                injected[eu, fsel] += 1
-                if t >= warmup:
-                    in_system_warm[eu, fsel] += 1
-                else:
-                    cold_outstanding[eu, fsel] += 1
-                if hp.first_switch >= 0:
-                    ring = rings[hp.first_switch]
-                    ring[(t + hp.latency) % ring.shape[0], eu, fsel] += 1
-                else:
-                    dring[(t + hp.latency) % dring_slots, eu, fsel] += 1
-                if record_series and eu[0] == 0:
-                    series_inj[t, fsel[0]] += 1
-            arrivals_span.__exit__(None, None, None)
-
-            # -- 3. Switches schedule and transfer, sequentially in
-            #       topology order (credit masks see earlier switches'
-            #       departures, exactly like the object loop).
-            kernel_span = timer.phase("kernel")
-            kernel_span.__enter__()
-            for s, sw in enumerate(switch_plans):
-                requests = occ[s] > 0
+            # -- 2. Every host injects at most one cell (credit-checked
+            #       first; a blocked host consumes no draws, like the
+            #       object), picking round-robin among its ready flows.
+            with timer.phase("arrivals"):
+                ready = np.ones((n_h, B), dtype=bool)
                 if limit is not None:
-                    for j, ps, pp in sw.switch_ports:
-                        blocked = occ[ps][:, pp, :].sum(axis=1) >= limit
-                        if blocked.any():
-                            requests[blocked, :, j] = False
-                if not requests.any():
-                    continue  # zero scheduling rounds run either way: no draws
-                if getattr(scheds[s], "needs_occupancy", False):
-                    match = scheds[s].schedule(
-                        requests, np.where(requests, occ[s], 0)
-                    )
-                else:
-                    match = scheds[s].schedule(requests)
-                bb, ii = np.nonzero(match >= 0)
-                if bb.size == 0:
-                    continue
-                jj = match[bb, ii]
-                occ[s][bb, ii, jj] -= 1
-                if check and (occ[s] < 0).any():
-                    raise AssertionError(f"negative VOQ occupancy at {sw.name}")
-                fsel = sw.voq_single[ii, jj].copy()
-                shared = np.nonzero(fsel < 0)[0]
-                for x in shared:
-                    fsel[x] = deques[s][(int(ii[x]), int(jj[x]))][bb[x]].popleft()
-                queued[s][bb, fsel] -= 1
-                for x in shared:
-                    if queued[s][bb[x], fsel[x]] > 0:
-                        # Flow still has cells: rotate to the back.
-                        deques[s][(int(ii[x]), int(jj[x]))][bb[x]].append(int(fsel[x]))
-                tgt = sw.next_switch[fsel]
-                lat = sw.next_lat[fsel]
-                to_host = tgt < 0
-                if to_host.any():
-                    dring[
-                        (t + lat[to_host]) % dring_slots, bb[to_host], fsel[to_host]
-                    ] += 1
-                onward = np.nonzero(~to_host)[0]
-                if onward.size:
-                    for s2 in np.unique(tgt[onward]):
-                        sel = onward[tgt[onward] == s2]
-                        ring = rings[s2]
-                        ring[(t + lat[sel]) % ring.shape[0], bb[sel], fsel[sel]] += 1
+                    load = occ[credit_row, :, credit_port, :].sum(axis=-1)
+                    ready[credited] = load < limit
+                for h, b in zip(*np.nonzero((pool_cursor >= pool_len) & refillable)):
+                    pool[h, b, :pool_len[h, 0]] = host_gens[h][b].random(pool_len[h, 0])
+                    pool_cursor[h, b] = 0
+                take = pool_cursor[:, :, None] + stoch_col
+                pending += (pool[host_ix, replica_ix, take] < rates) & ready[:, :, None]
+                pool_cursor += fab.stoch_count[:, None] * ready
+                elig = (greedy | (pending > 0)) & ready[:, :, None]
+                offs = (flow_offsets - cursor_rr[:, :, None]) % host_flows
+                pick = np.where(elig, offs, width_h).argmin(axis=2)
+                eh, eb = np.nonzero(elig.any(axis=2))
+                if eh.size:
+                    pk = pick[eh, eb]
+                    cursor_rr[eh, eb] = (pk + 1) % fab.host_flows[eh]
+                    pending[eh, eb, pk] -= ~fab.greedy[eh, pk]
+                    fsel = fab.host_fids[eh, pk]
+                    injected[eb, fsel] += 1
+                    (in_system_warm if t >= warmup else cold_outstanding)[eb, fsel] += 1
+                    ring[(t + fab.host_lat[eh]) % R, fab.host_row[eh], eb, fsel] += 1
+                    if record_series:
+                        series_inj[t, fsel[eb == 0]] += 1
+
+            # -- 3. Switches schedule sequentially in topology order.
+            #       Departures are applied once all have scheduled, so a
+            #       credit check at a switch's turn subtracts the cells
+            #       earlier switches already matched out of the peer input.
+            with timer.phase("kernel"):
+                requests = occ > 0
+                matches.fill(-1)
+                for s, sched in enumerate(scheds):
+                    n = fab.ports[s]
+                    req = requests[s, :, :n, :n]
+                    if limit is not None:
+                        out_j, peer_s, peer_p = fab.credit_ports[s]
+                        load = occ[peer_s, :, peer_p, :].sum(axis=-1)
+                        load -= matches[peer_s, :, peer_p] >= 0
+                        req[:, :, out_j] &= (load < limit).T[:, None, :]
+                    if not req.any():
+                        continue  # zero scheduling rounds run either way: no draws
+                    # Occupancy-blind kernels ignore the queue depths.
+                    matches[s, :, :n] = sched.schedule(req, occ[s, :, :n, :n])
+                ss, bb, ii = np.nonzero(matches >= 0)
+                if ss.size:
+                    jj = matches[ss, bb, ii]
+                    occ[ss, bb, ii, jj] -= 1
+                    fsel = fab.voq_single[ss, ii, jj]
+                    shared = np.nonzero(fsel < 0)[0].tolist()
+                    voqs = [deques[ss[x]][ii[x], jj[x]][bb[x]] for x in shared]
+                    for x, voq in zip(shared, voqs):
+                        fsel[x] = voq.popleft()
+                    queued[ss, bb, fsel] -= 1
+                    for x, voq in zip(shared, voqs):
+                        if queued[ss[x], bb[x], fsel[x]] > 0:
+                            voq.append(int(fsel[x]))  # cells left: rotate to the back
+                    lat, row = fab.next_lat[ss, fsel], fab.next_row[ss, fsel]
+                    ring[(t + lat) % R, row, bb, fsel] += 1
                 if record_series:
-                    series_xfer[t, s] = int((bb == 0).sum())
-            kernel_span.__exit__(None, None, None)
+                    series_xfer[t] = np.bincount(ss[bb == 0], minlength=n_sw)
 
             with timer.phase("update"):
                 delay_integral += in_system_warm
                 if record_series:
-                    for s in range(n_sw):
-                        series_backlog[t, s] = int(occ[s][0].sum())
+                    series_backlog[t] = occ[:, 0].sum(axis=(1, 2))
                 if check:
-                    buffered = sum(o.sum(axis=(1, 2)) for o in occ)
-                    in_flight = sum(r.sum(axis=(0, 2)) for r in rings) + dring.sum(
-                        axis=(0, 2)
-                    )
+                    negative = np.nonzero((occ < 0).any(axis=(1, 2, 3)))[0]
+                    if negative.size:
+                        name = self._switch_names[negative[0]]
+                        raise AssertionError(f"negative VOQ occupancy at {name}")
+                    buffered = occ.sum(axis=(0, 2, 3))
+                    in_flight = ring.sum(axis=(0, 1, 3))
                     if not np.array_equal(
                         injected.sum(axis=1),
                         delivered_total.sum(axis=1) + buffered + in_flight,
@@ -709,14 +654,14 @@ class NetworkFastpath:
                         raise AssertionError(
                             f"cell conservation violated at slot {t}"
                         )
-                    for s in range(n_sw):
-                        if not np.array_equal(
-                            occ[s].sum(axis=(1, 2)), queued[s].sum(axis=1)
-                        ):
-                            raise AssertionError(
-                                f"VOQ/per-flow count mismatch at "
-                                f"{switch_plans[s].name}"
-                            )
+                    mismatch = np.nonzero(
+                        (occ.sum(axis=(2, 3)) != queued.sum(axis=2)).any(axis=1)
+                    )[0]
+                    if mismatch.size:
+                        raise AssertionError(
+                            f"VOQ/per-flow count mismatch at "
+                            f"{self._switch_names[mismatch[0]]}"
+                        )
 
         series = None
         if record_series:
@@ -728,9 +673,6 @@ class NetworkFastpath:
                 transfers=series_xfer,
                 backlog=series_backlog,
             )
-        final_backlog = sum(o.sum(axis=(1, 2)) for o in occ) if n_sw else np.zeros(
-            B, dtype=np.int64
-        )
         return NetworkFastpathResult(
             flow_ids=flow_ids,
             replicas=B,
@@ -740,7 +682,7 @@ class NetworkFastpath:
             injected=injected,
             delay_cells=delay_cells,
             delay_integral=delay_integral,
-            final_backlog=final_backlog,
+            final_backlog=occ.sum(axis=(0, 2, 3)),
             series=series,
         )
 

@@ -84,6 +84,30 @@ class TestTopologyQueries:
         with pytest.raises(ValueError, match="no link to"):
             topo.port_toward("s1", "h2")
 
+    def test_link_added_after_lookup_is_seen(self):
+        topo = chain_topology()
+        assert topo.neighbors("s2") == ["s1", "h2"]
+        with pytest.raises(ValueError, match="no link to"):
+            topo.port_toward("s1", "h3")
+        topo.add_host("h3")
+        assert topo.neighbors("h3") == []
+        link = topo.connect("s1", "h3")
+        assert topo.port_toward("s1", "h3") == link.a_port
+        assert topo.neighbors("s1") == ["h1", "s2", "h3"]
+        assert topo.shortest_path("h3", "h2") == ["h3", "s1", "s2", "h2"]
+
+    def test_parallel_links_first_connected_wins(self):
+        topo = Topology()
+        topo.add_switch("s1", 4)
+        topo.add_switch("s2", 4)
+        topo.connect("s1", "s2", a_port=3, b_port=0)
+        assert topo.port_toward("s1", "s2") == 3
+        # A later parallel link on a lower port does not take over.
+        topo.connect("s1", "s2", a_port=1, b_port=2)
+        assert topo.port_toward("s1", "s2") == 3
+        assert topo.port_toward("s2", "s1") == 0
+        assert topo.neighbors("s1") == ["s2", "s2"]
+
     def test_kinds(self):
         topo = chain_topology()
         assert {n.name for n in topo.switches()} == {"s1", "s2"}
